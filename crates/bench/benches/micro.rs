@@ -166,16 +166,14 @@ fn bench_crv_monitor(c: &mut Criterion) {
     group.finish();
 }
 
-/// Heartbeat cost at 5,000 workers with populated queues: the historical
-/// full-cluster rescan vs the O(kinds) incremental-ledger refresh (the
-/// acceptance bar is ≥5× in the incremental path's favor).
-fn bench_monitor_refresh(c: &mut Criterion) {
-    let mut group = c.benchmark_group("monitor_refresh");
-    group.sample_size(20);
+/// A simulation state over `workers` google-like machines with four
+/// queued probes per worker, spread over 500 generated (constrained) jobs
+/// and enqueued through the ledger-aware API.
+fn populated_state(workers: usize) -> phoenix_sim::SimState {
     let mut rng = StdRng::seed_from_u64(5);
-    let cluster = MachinePopulation::generate(PopulationProfile::google_like(), 5_000, &mut rng);
+    let cluster = MachinePopulation::generate(PopulationProfile::google_like(), workers, &mut rng);
     let trace =
-        phoenix_traces::TraceGenerator::new(TraceProfile::google(), 1).generate(500, 5_000, 0.9);
+        phoenix_traces::TraceGenerator::new(TraceProfile::google(), 1).generate(500, workers, 0.9);
     let mut state = phoenix_sim::Simulation::new(
         phoenix_sim::SimConfig::default(),
         FeasibilityIndex::new(cluster.into_machines()),
@@ -184,10 +182,8 @@ fn bench_monitor_refresh(c: &mut Criterion) {
         1,
     )
     .into_state_for_tests();
-    // Non-trivial queue depth: four queued probes per worker, spread over
-    // the generated (constrained) jobs, via the ledger-aware API.
     let n_jobs = state.jobs.len() as u64;
-    for i in 0..20_000u64 {
+    for i in 0..4 * workers as u64 {
         let probe = Probe {
             id: ProbeId(i),
             job: phoenix_traces::JobId((i % n_jobs) as u32),
@@ -199,21 +195,38 @@ fn bench_monitor_refresh(c: &mut Criterion) {
             migrations: 0,
             retries: 0,
         };
-        state.enqueue_probe(WorkerId((i % 5_000) as u32), probe);
+        state.enqueue_probe(WorkerId((i % workers as u64) as u32), probe);
     }
-    let mut monitor = CrvMonitor::new();
-    group.bench_function("full_rescan_5k_workers_20k_probes", |b| {
-        b.iter(|| {
-            monitor.refresh_full_rescan(black_box(&state));
-            black_box(monitor.max_ratio())
+    state
+}
+
+/// Heartbeat cost with populated queues: the historical full-cluster
+/// rescan (the test oracle) vs the ledger read, whose idle supply is a
+/// popcount computed at read time — at 5,000 and 100,000 workers.
+fn bench_monitor_refresh(c: &mut Criterion) {
+    let mut group = c.benchmark_group("monitor_refresh");
+    group.sample_size(20);
+    for workers in [5_000, 100_000] {
+        let state = populated_state(workers);
+        let label = format!(
+            "{}k_workers_{}k_probes",
+            workers / 1_000,
+            4 * workers / 1_000
+        );
+        let mut monitor = CrvMonitor::new();
+        group.bench_function(&format!("full_rescan_{label}"), |b| {
+            b.iter(|| {
+                monitor.refresh_full_rescan(black_box(&state));
+                black_box(monitor.max_ratio())
+            });
         });
-    });
-    group.bench_function("incremental_5k_workers_20k_probes", |b| {
-        b.iter(|| {
-            monitor.refresh_incremental(black_box(&state));
-            black_box(monitor.max_ratio())
+        group.bench_function(&format!("ledger_{label}"), |b| {
+            b.iter(|| {
+                monitor.refresh_from_ledger(black_box(&state));
+                black_box(monitor.max_ratio())
+            });
         });
-    });
+    }
     group.finish();
 }
 

@@ -228,7 +228,7 @@ pub struct FeasibilityIndex {
     /// One posting structure per [`ConstraintKind`], in `ALL` order.
     kinds: Vec<KindPostings>,
     set_cache: RefCell<HashMap<ConstraintSet, CachedSet>>,
-    single_cache: RefCell<HashMap<Constraint, Arc<[u32]>>>,
+    single_cache: RefCell<HashMap<Constraint, Arc<[u64]>>>,
     /// Reusable duplicate-guard bitmask for large sampling requests.
     sample_mask: RefCell<Vec<u64>>,
     /// Reusable exact-phase candidate pool (avoids an allocation per
@@ -448,8 +448,9 @@ impl FeasibilityIndex {
         self.cached_set(set).bits
     }
 
-    /// All workers satisfying a single constraint, cached.
-    pub fn feasible_single(&self, constraint: &Constraint) -> Arc<[u32]> {
+    /// The workers satisfying a single constraint as a bitset, one bit per
+    /// machine index, cached.
+    pub fn feasible_single(&self, constraint: &Constraint) -> Arc<[u64]> {
         if let Some(hit) = self.single_cache.borrow().get(constraint) {
             return Arc::clone(hit);
         }
@@ -457,11 +458,11 @@ impl FeasibilityIndex {
         let range = postings.group_range(constraint);
         let mut bits = vec![0u64; self.words];
         postings.write_bits(range, self.words, &mut bits);
-        let ids = Self::collect_ids(&bits);
+        let bits: Arc<[u64]> = bits.into();
         self.single_cache
             .borrow_mut()
-            .insert(*constraint, Arc::clone(&ids));
-        ids
+            .insert(*constraint, Arc::clone(&bits));
+        bits
     }
 
     /// Number of workers satisfying a single constraint: pure posting-range
@@ -628,6 +629,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn ones(bits: &[u64]) -> u32 {
+        bits.iter().map(|w| w.count_ones()).sum()
+    }
+
     fn population() -> Vec<AttributeVector> {
         (0..100u32)
             .map(|i| {
@@ -774,7 +779,7 @@ mod tests {
         assert_eq!(index.feasible(&set).to_vec(), naive);
         let single = Constraint::hard(ConstraintKind::NumCores, ConstraintOp::Gt, 150);
         assert_eq!(index.count_single(&single), 50);
-        assert_eq!(index.feasible_single(&single).len(), 50);
+        assert_eq!(ones(&index.feasible_single(&single)), 50);
     }
 
     #[test]
@@ -785,7 +790,7 @@ mod tests {
             ConstraintOp::Eq,
             Isa::Arm as u64,
         );
-        assert_eq!(index.feasible_single(&arm).len(), 10);
+        assert_eq!(ones(&index.feasible_single(&arm)), 10);
         assert_eq!(index.count_single(&arm), 10);
         let supply = index.kind_supply(&ConstraintSet::from_constraints(vec![arm]));
         assert_eq!(supply, vec![(ConstraintKind::Architecture, 10)]);

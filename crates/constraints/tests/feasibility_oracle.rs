@@ -108,7 +108,11 @@ proptest! {
                 .filter(|(_, m)| c.satisfied_by(m))
                 .map(|(i, _)| i as u32)
                 .collect();
-            prop_assert_eq!(index.feasible_single(c).to_vec(), single.clone(), "{}", c);
+            let bits = index.feasible_single(c);
+            let from_bits: Vec<u32> = (0..machines.len() as u32)
+                .filter(|&w| bits[w as usize / 64] >> (w % 64) & 1 == 1)
+                .collect();
+            prop_assert_eq!(from_bits, single.clone(), "{}", c);
             prop_assert_eq!(index.count_single(c), single.len(), "{}", c);
         }
     }

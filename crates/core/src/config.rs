@@ -25,11 +25,6 @@ pub struct PhoenixConfig {
     /// Enables CRV-based reordering; disable for ablations (leaving pure
     /// Eagle-style SRPT).
     pub crv_reordering: bool,
-    /// Refresh the CRV monitor from the engine's incrementally maintained
-    /// ledger (O(kinds) per heartbeat) instead of rescanning every worker
-    /// queue. Both paths produce identical tables (debug builds cross-check
-    /// them every heartbeat); disable only to measure the old rescan cost.
-    pub incremental_monitor: bool,
 }
 
 impl PhoenixConfig {
@@ -51,7 +46,6 @@ impl Default for PhoenixConfig {
             qwait_threshold: SimDuration::from_secs(30),
             admission_control: true,
             crv_reordering: true,
-            incremental_monitor: true,
         }
     }
 }
@@ -67,7 +61,6 @@ mod tests {
         assert_eq!(c.baseline.probe_ratio, 2);
         assert_eq!(c.baseline.slack_threshold, 5);
         assert!(c.admission_control && c.crv_reordering);
-        assert!(c.incremental_monitor);
     }
 
     #[test]

@@ -25,12 +25,12 @@ pub struct MonitorSnapshot {
 /// the `CRV_Lookup_Table`, and exposes the aggregated six-dimensional CRV
 /// ratio vector.
 ///
-/// The default refresh reads the engine's incrementally maintained
-/// [`phoenix_sim::CrvLedger`] — an O(kinds) aggregation. The historical
-/// full-cluster rescan ([`CrvMonitor::refresh_full_rescan`]) is kept both
-/// as an opt-out (`PhoenixConfig::incremental_monitor = false`) and as a
-/// debug-assertions oracle: in debug builds every incremental refresh is
-/// cross-checked against a from-scratch rescan and panics on divergence.
+/// A refresh reads the engine's [`phoenix_sim::CrvLedger`]: demand is kept
+/// exact on every probe move, and idle supply is a popcount over the
+/// ledger's bitsets, computed at refresh time. The historical full-cluster
+/// rescan ([`CrvMonitor::refresh_full_rescan`]) is a test oracle only: in
+/// debug builds every [`CrvMonitor::refresh`] is cross-checked against it
+/// and panics on divergence.
 #[derive(Debug, Clone, Default)]
 pub struct CrvMonitor {
     table: CrvTable,
@@ -64,27 +64,17 @@ impl CrvMonitor {
         self.table.max_ratio()
     }
 
-    /// Refreshes the table from live simulation state using the incremental
-    /// ledger (with the debug-builds rescan oracle).
+    /// Refreshes the table from the live ledger (with the debug-builds
+    /// rescan oracle).
     pub fn refresh(&mut self, state: &SimState) {
-        self.refresh_with(state, true);
+        self.refresh_from_ledger(state);
+        #[cfg(debug_assertions)]
+        self.oracle_cross_check(state);
     }
 
-    /// Refreshes either incrementally (O(kinds), ledger-backed) or via the
-    /// historical full-cluster rescan.
-    pub fn refresh_with(&mut self, state: &SimState, incremental: bool) {
-        if incremental {
-            self.refresh_incremental(state);
-            #[cfg(debug_assertions)]
-            self.oracle_cross_check(state);
-        } else {
-            self.refresh_full_rescan(state);
-        }
-    }
-
-    /// O(kinds) refresh off the engine's incrementally maintained
-    /// [`phoenix_sim::CrvLedger`].
-    pub fn refresh_incremental(&mut self, state: &SimState) {
+    /// Refreshes the table off the engine's [`phoenix_sim::CrvLedger`]:
+    /// O(kinds) for demand, O(words × demanded instances) for supply.
+    pub fn refresh_from_ledger(&mut self, state: &SimState) {
         let ledger = state.crv_ledger();
         self.table.reset_demand();
         for kind in ConstraintKind::ALL {
@@ -106,11 +96,11 @@ impl CrvMonitor {
     /// friends). No rescan oracle runs on this path — the stale view is
     /// *supposed* to lag ground truth (that lag is the federation model,
     /// not a ledger bug), so cross-checking it against a live rescan
-    /// would be a false alarm. Falls back to the incremental refresh when
+    /// would be a false alarm. Falls back to the ledger refresh when
     /// federation is off.
     pub fn refresh_federated(&mut self, state: &SimState) {
         let Some(fed) = state.federation() else {
-            self.refresh_incremental(state);
+            self.refresh_from_ledger(state);
             return;
         };
         self.table.reset_demand();
@@ -127,8 +117,8 @@ impl CrvMonitor {
         };
     }
 
-    /// Cross-checks the incremental tables against a from-scratch rescan;
-    /// any divergence is a ledger-hook bug.
+    /// Cross-checks the ledger-derived tables against a from-scratch
+    /// rescan; any divergence is a ledger-hook bug.
     #[cfg(debug_assertions)]
     fn oracle_cross_check(&self, state: &SimState) {
         let mut oracle = CrvMonitor::new();
@@ -137,12 +127,12 @@ impl CrvMonitor {
             assert_eq!(
                 self.table.demand(kind),
                 oracle.table.demand(kind),
-                "incremental CRV demand for {kind} diverged from full rescan"
+                "ledger CRV demand for {kind} diverged from full rescan"
             );
             assert_eq!(
                 self.table.supply(kind),
                 oracle.table.supply(kind),
-                "incremental CRV supply for {kind} diverged from full rescan"
+                "ledger CRV supply for {kind} diverged from full rescan"
             );
         }
         assert_eq!(self.snapshot.queued_probes, oracle.snapshot.queued_probes);
@@ -198,8 +188,13 @@ impl CrvMonitor {
         }
         for constraint in instances.keys() {
             let mask = kind_mask[constraint.kind.index()];
-            for &w in state.feasibility.feasible_single(constraint).iter() {
-                satisfied[w as usize] |= mask;
+            let bits = state.feasibility.feasible_single(constraint);
+            for (i, &word) in bits.iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    satisfied[i * 64 + word.trailing_zeros() as usize] |= mask;
+                    word &= word - 1;
+                }
             }
         }
         for kind in ConstraintKind::ALL {
@@ -350,7 +345,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_full_rescan() {
+    fn ledger_matches_full_rescan() {
         let cpu = ConstraintSet::from_constraints(vec![Constraint::hard(
             ConstraintKind::NumCores,
             ConstraintOp::Gt,
@@ -378,26 +373,21 @@ mod tests {
             },
             SimTime::ZERO,
         );
-        let mut incremental = CrvMonitor::new();
-        incremental.refresh_incremental(&state);
+        let mut ledger = CrvMonitor::new();
+        ledger.refresh_from_ledger(&state);
         let mut rescan = CrvMonitor::new();
         rescan.refresh_full_rescan(&state);
-        assert_eq!(incremental.table(), rescan.table());
-        assert_eq!(incremental.crv(), rescan.crv());
+        assert_eq!(ledger.table(), rescan.table());
+        assert_eq!(ledger.crv(), rescan.crv());
         assert_eq!(
-            incremental.snapshot().idle_workers,
+            ledger.snapshot().idle_workers,
             rescan.snapshot().idle_workers
         );
-        // The opt-out path produces the same table too.
-        let mut opted_out = CrvMonitor::new();
-        opted_out.refresh_with(&state, false);
-        assert_eq!(opted_out.table(), rescan.table());
     }
 
     /// The federated refresh reads *installed gossip summaries only*:
     /// demand enqueued after the last round is invisible until the next
-    /// delivery, and with federation off it degrades to the incremental
-    /// path.
+    /// delivery, and with federation off it degrades to the ledger path.
     #[test]
     fn federated_refresh_sees_only_gossiped_state() {
         let set = ConstraintSet::from_constraints(vec![Constraint::hard(
@@ -418,7 +408,7 @@ mod tests {
         assert_eq!(monitor.snapshot().queued_probes, 0);
         assert_eq!(monitor.table().demand(ConstraintKind::NumCores), 0.0);
         let mut live = CrvMonitor::new();
-        live.refresh_incremental(&state);
+        live.refresh_from_ledger(&state);
         assert_eq!(live.snapshot().queued_probes, 1);
         // Federation off: refresh_federated falls back to the live ledger.
         let mut central = state_with(20, vec![set]);

@@ -1,6 +1,9 @@
-//! Property test for the incremental CRV ledger: after every randomized
-//! queue/slot operation, the monitor table derived from the ledger must
-//! equal a from-scratch full rescan.
+//! Property tests for the CRV ledger: after every randomized queue/slot
+//! operation, the monitor table derived from the ledger must equal a
+//! from-scratch full rescan, and under federation every domain's summary
+//! must equal a naive rescan restricted to that domain's workers.
+
+use std::collections::HashSet;
 
 use phoenix_constraints::{
     Constraint, ConstraintKind, ConstraintOp, ConstraintSet, FeasibilityIndex, MachinePopulation,
@@ -8,7 +11,8 @@ use phoenix_constraints::{
 };
 use phoenix_core::CrvMonitor;
 use phoenix_sim::{
-    Probe, ProbeId, RunningTask, SimConfig, SimState, SimTime, Simulation, WorkerId,
+    DomainSummary, FederationConfig, Probe, ProbeId, RunningTask, SimConfig, SimDuration, SimState,
+    SimTime, Simulation, WorkerId,
 };
 use phoenix_traces::{Job, JobId, Trace};
 use proptest::prelude::*;
@@ -16,6 +20,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const WORKERS: usize = 16;
+
+/// Federated cluster size: with K ∈ {2, 3, 7} every domain edge but the
+/// cluster's ends falls strictly inside a 64-bit word.
+const FED_WORKERS: usize = 150;
 
 fn job_sets() -> Vec<ConstraintSet> {
     vec![
@@ -47,9 +55,9 @@ fn job_sets() -> Vec<ConstraintSet> {
     ]
 }
 
-fn build_state() -> SimState {
+fn build_state(workers: usize, domains: usize) -> SimState {
     let mut rng = StdRng::seed_from_u64(11);
-    let cluster = MachinePopulation::generate(PopulationProfile::google_like(), WORKERS, &mut rng);
+    let cluster = MachinePopulation::generate(PopulationProfile::google_like(), workers, &mut rng);
     let jobs: Vec<Job> = job_sets()
         .into_iter()
         .enumerate()
@@ -63,8 +71,12 @@ fn build_state() -> SimState {
             user: 0,
         })
         .collect();
+    let config = SimConfig {
+        federation: FederationConfig::sharded(domains, SimDuration::ZERO),
+        ..SimConfig::default()
+    };
     Simulation::new(
-        SimConfig::default(),
+        config,
         FeasibilityIndex::new(cluster.into_machines()),
         &Trace::new("t", jobs),
         Box::new(phoenix_sim::RandomScheduler::new(1)),
@@ -83,7 +95,7 @@ fn apply_op(
     next_probe: &mut u64,
     next_seq: &mut u64,
 ) {
-    let worker = WorkerId(u32::from(a) % WORKERS as u32);
+    let worker = WorkerId((usize::from(a) % state.workers.len()) as u32);
     let n_jobs = state.jobs.len() as u64;
     let alive = state.workers[worker.index()].is_alive();
     match op {
@@ -187,36 +199,109 @@ fn apply_op(
     }
 }
 
+/// Domain `d`'s figures under a `k`-way near-equal split of the cluster
+/// (the first `workers % k` domains one wider), rescanned naively: probes
+/// queued on the domain's workers, and idle alive domain workers whose
+/// machine satisfies one of those probes' instances.
+fn naive_domain_summary(state: &SimState, k: usize, d: usize) -> DomainSummary {
+    let n = state.workers.len();
+    let len = |i: usize| n / k + usize::from(i < n % k);
+    let base: usize = (0..d).map(len).sum();
+    let range = base..base + len(d);
+    let mut s = DomainSummary {
+        published_at: state.now.as_micros(),
+        ..DomainSummary::default()
+    };
+    let mut instances = HashSet::new();
+    for w in &state.workers[range.clone()] {
+        for p in w.queue() {
+            s.queued_probes += 1;
+            let set = &state.jobs[p.job.0 as usize].effective_constraints;
+            if set.is_unconstrained() {
+                continue;
+            }
+            s.constrained_probes += 1;
+            for c in set.iter() {
+                s.demand[c.kind.index()] += 1;
+                instances.insert(*c);
+            }
+        }
+    }
+    for i in range {
+        let w = &state.workers[i];
+        if !(w.is_idle() && w.is_alive()) {
+            continue;
+        }
+        s.idle_workers += 1;
+        let machine = &state.feasibility.machines()[i];
+        for kind in ConstraintKind::ALL {
+            if instances
+                .iter()
+                .any(|c: &Constraint| c.kind == kind && c.satisfied_by(machine))
+            {
+                s.idle_supply[kind.index()] += 1;
+            }
+        }
+    }
+    s
+}
+
+/// Asserts the ledger-backed monitor table equals a full rescan.
+fn assert_ledger_matches_rescan(state: &SimState) {
+    let mut ledger = CrvMonitor::new();
+    ledger.refresh_from_ledger(state);
+    let mut rescan = CrvMonitor::new();
+    rescan.refresh_full_rescan(state);
+    prop_assert_eq!(ledger.table(), rescan.table());
+    prop_assert_eq!(ledger.crv(), rescan.crv());
+    prop_assert_eq!(
+        ledger.snapshot().queued_probes,
+        rescan.snapshot().queued_probes
+    );
+    prop_assert_eq!(
+        ledger.snapshot().constrained_probes,
+        rescan.snapshot().constrained_probes
+    );
+    prop_assert_eq!(
+        ledger.snapshot().idle_workers,
+        rescan.snapshot().idle_workers
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn incremental_table_matches_rescan_after_every_op(
+    fn ledger_table_matches_rescan_after_every_op(
         ops in prop::collection::vec((0u8..10, 0u16..64, 0u16..64), 0..60),
     ) {
-        let mut state = build_state();
+        let mut state = build_state(WORKERS, 0);
         let mut next_probe = 0u64;
         let mut next_seq = 0u64;
         for &(op, a, b) in &ops {
             apply_op(&mut state, op, a, b, &mut next_probe, &mut next_seq);
-            let mut incremental = CrvMonitor::new();
-            incremental.refresh_incremental(&state);
-            let mut rescan = CrvMonitor::new();
-            rescan.refresh_full_rescan(&state);
-            prop_assert_eq!(incremental.table(), rescan.table());
-            prop_assert_eq!(incremental.crv(), rescan.crv());
-            prop_assert_eq!(
-                incremental.snapshot().queued_probes,
-                rescan.snapshot().queued_probes
-            );
-            prop_assert_eq!(
-                incremental.snapshot().constrained_probes,
-                rescan.snapshot().constrained_probes
-            );
-            prop_assert_eq!(
-                incremental.snapshot().idle_workers,
-                rescan.snapshot().idle_workers
-            );
+            assert_ledger_matches_rescan(&state);
+        }
+    }
+
+    #[test]
+    fn domain_summaries_match_range_rescan_after_every_op(
+        k in prop::sample::select(vec![2usize, 3, 7]),
+        ops in prop::collection::vec((0u8..10, 0u16..1024, 0u16..64), 0..120),
+    ) {
+        let mut state = build_state(FED_WORKERS, k);
+        let mut next_probe = 0u64;
+        let mut next_seq = 0u64;
+        for &(op, a, b) in &ops {
+            apply_op(&mut state, op, a, b, &mut next_probe, &mut next_seq);
+            assert_ledger_matches_rescan(&state);
+            for d in 0..k {
+                prop_assert_eq!(
+                    state.crv_ledger().summary(d, state.now),
+                    naive_domain_summary(&state, k, d),
+                    "K={} domain {}", k, d
+                );
+            }
         }
     }
 }

@@ -10,9 +10,9 @@
 //!   workers, in queues and in flight), no slot double-booking, a monotone
 //!   virtual clock, hard-constraint satisfaction of every placement
 //!   (recomputed from the machine attributes, never trusted from the
-//!   scheduler), [`CrvLedger`] demand/supply exactness at every scheduler
-//!   heartbeat, the starvation-slack bound on queue reorders, and exact
-//!   busy-time accounting. It also observes the [`TraceSink`] stream for
+//!   scheduler), [`crate::CrvLedger`] demand/supply exactness at every
+//!   scheduler heartbeat (per federated domain too), the starvation-slack
+//!   bound on queue reorders, and exact busy-time accounting. It also observes the [`TraceSink`] stream for
 //!   record-level sanity (timestamps in order, crash/recover pairing).
 //!   Violations are collected, not panicked, so a run reports *all* broken
 //!   laws; tests assert [`AuditReport::is_clean`].
@@ -27,22 +27,23 @@
 //! cost one branch per event and change nothing — the digest-parity tests
 //! pin that enabling them does not perturb a run either.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use phoenix_traces::JobId;
 
 use crate::context::SimCtx;
-use crate::crvledger::CrvLedger;
 use crate::engine::{finalize_result, SimState, Simulation};
 use crate::event::{Event, EventQueue};
+use crate::federation::DomainSummary;
 use crate::metrics::SimResult;
 use crate::scheduler::Scheduler;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceRecord, TraceSink};
 use crate::worker::{RunningTask, WorkerId};
 
-use phoenix_constraints::ConstraintKind;
+use phoenix_constraints::{Constraint, ConstraintKind};
 
 /// Configuration of the [`InvariantAuditor`].
 #[derive(Debug, Clone)]
@@ -52,8 +53,9 @@ pub struct AuditConfig {
     /// probe can be overtaken more than `slack` times; `None` disables the
     /// check (for harnesses driving [`crate::Worker::promote`] directly).
     pub starvation_slack: Option<u32>,
-    /// Re-derive the incremental [`CrvLedger`] from scratch at every
-    /// scheduler wakeup (heartbeat) and compare all of its counters.
+    /// Re-derive the [`crate::CrvLedger`]'s figures from scratch at every
+    /// scheduler wakeup (heartbeat) and compare all of them, per domain
+    /// too under federation.
     pub check_crv_ledger: bool,
     /// Number of violation messages retained verbatim in the report (the
     /// total count is always exact).
@@ -412,59 +414,46 @@ impl InvariantAuditor {
         }
     }
 
-    /// Re-derives the CRV ledger from the queues and slots and compares
-    /// every counter against the incrementally maintained one.
+    /// Re-derives the CRV figures from the queues, slots and machine
+    /// attributes — supply worker by worker via
+    /// [`phoenix_constraints::Constraint::satisfied_by`], never through the
+    /// ledger's bitsets — and compares them with the ledger: cluster-wide,
+    /// and under federation each domain's live summary against the same
+    /// rederivation restricted to that domain's workers and probes.
     fn check_crv_ledger(&mut self, state: &SimState) {
         self.report.ledger_checks += 1;
         let now = state.now;
-        let mut fresh = CrvLedger::new(state.workers.len());
-        for (i, w) in state.workers.iter().enumerate() {
-            if !w.is_idle() || !w.is_alive() {
-                fresh.worker_busy(i);
-            }
-        }
-        for w in &state.workers {
-            for p in w.queue() {
-                let set = &state.jobs[p.job.0 as usize].effective_constraints;
-                fresh.probe_enqueued(p.id, p.job, set, &state.feasibility);
-            }
-        }
         let live = state.crv_ledger();
-        if live.queued_probes() != fresh.queued_probes()
-            || live.constrained_probes() != fresh.constrained_probes()
-            || live.idle_workers() != fresh.idle_workers()
-            || live.distinct_instances() != fresh.distinct_instances()
-        {
+        let (fresh, fresh_instances) = rederive_crv(state, 0, state.workers.len());
+        let cluster = DomainSummary {
+            published_at: now.as_micros(),
+            demand: ConstraintKind::ALL.map(|k| live.demand(k)),
+            idle_supply: ConstraintKind::ALL.map(|k| live.idle_supply(k)),
+            queued_probes: live.queued_probes(),
+            constrained_probes: live.constrained_probes(),
+            idle_workers: live.idle_workers(),
+        };
+        if cluster != fresh || live.distinct_instances() != fresh_instances {
             self.violation(
                 now,
                 format!(
-                    "CRV ledger totals desynced: queued {}/{}, constrained {}/{}, idle {}/{}, \
-                     instances {}/{} (incremental/rederived)",
-                    live.queued_probes(),
-                    fresh.queued_probes(),
-                    live.constrained_probes(),
-                    fresh.constrained_probes(),
-                    live.idle_workers(),
-                    fresh.idle_workers(),
-                    live.distinct_instances(),
-                    fresh.distinct_instances()
+                    "CRV ledger desynced: {cluster:?} with {} instances, rederived {fresh:?} \
+                     with {fresh_instances}",
+                    live.distinct_instances()
                 ),
             );
         }
-        for kind in ConstraintKind::ALL {
-            if live.demand(kind) != fresh.demand(kind)
-                || live.idle_supply(kind) != fresh.idle_supply(kind)
-            {
+        let Some(fed) = state.federation() else {
+            return;
+        };
+        for d in 0..fed.domains() {
+            let (base, len) = fed.range(d);
+            let summary = live.summary(d, now);
+            let (fresh, _) = rederive_crv(state, base, base + len);
+            if summary != fresh {
                 self.violation(
                     now,
-                    format!(
-                        "CRV ledger desynced on {kind}: demand {}/{}, supply {}/{} \
-                         (incremental/rederived)",
-                        live.demand(kind),
-                        fresh.demand(kind),
-                        live.idle_supply(kind),
-                        fresh.idle_supply(kind)
-                    ),
+                    format!("domain {d} summary desynced: {summary:?}, rederived {fresh:?}"),
                 );
             }
         }
@@ -531,9 +520,49 @@ impl InvariantAuditor {
     }
 }
 
+/// The CRV figures of workers `[lo, hi)` and the probes queued on them,
+/// rederived from scratch, plus the number of distinct demanded instances.
+fn rederive_crv(state: &SimState, lo: usize, hi: usize) -> (DomainSummary, usize) {
+    let mut r = DomainSummary {
+        published_at: state.now.as_micros(),
+        ..DomainSummary::default()
+    };
+    let mut instances: HashSet<Constraint> = HashSet::new();
+    for w in &state.workers[lo..hi] {
+        for p in w.queue() {
+            r.queued_probes += 1;
+            let set = &state.jobs[p.job.0 as usize].effective_constraints;
+            if set.is_unconstrained() {
+                continue;
+            }
+            r.constrained_probes += 1;
+            for c in set.iter() {
+                r.demand[c.kind.index()] += 1;
+                instances.insert(*c);
+            }
+        }
+    }
+    let machines = state.feasibility.machines();
+    for (i, w) in state.workers.iter().enumerate().take(hi).skip(lo) {
+        if !(w.is_idle() && w.is_alive()) {
+            continue;
+        }
+        r.idle_workers += 1;
+        for kind in ConstraintKind::ALL {
+            if instances
+                .iter()
+                .any(|c| c.kind == kind && c.satisfied_by(&machines[i]))
+            {
+                r.idle_supply[kind.index()] += 1;
+            }
+        }
+    }
+    (r, instances.len())
+}
+
 /// A deliberately naive re-implementation of the engine for tiny runs.
 ///
-/// Where the real engine keeps a binary heap of events, an incremental CRV
+/// Where the real engine keeps a binary heap of events, a CRV
 /// ledger and touched-worker batching, the reference executor scans a flat
 /// `Vec` for the earliest event on every step and re-walks everything it
 /// needs — O(everything), nothing shared, nothing cached. Both executors

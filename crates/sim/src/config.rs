@@ -4,20 +4,19 @@ use crate::fault::FaultPlan;
 use crate::time::SimDuration;
 
 /// Federated-scheduling parameters: the cluster is sharded into `domains`
-/// contiguous worker ranges, each owning its own CRV ledger; domains learn
-/// about each other only through periodic summary gossip delivered with a
-/// configurable staleness (see [`crate::federation`]).
+/// contiguous worker ranges, each owning its slice of the CRV ledger;
+/// domains learn about each other only through periodic summary gossip
+/// delivered with a configurable staleness (see [`crate::federation`]).
 ///
 /// The load-bearing parity rule: with `domains <= 1` the engine behaves
 /// **byte-identically** to the centralized configuration — no gossip events
 /// are scheduled, placement sampling is unrestricted, and every golden
-/// digest is unchanged. A single-domain federation still maintains its
-/// (one) domain ledger, so the partitioned bookkeeping is exercised and
-/// cross-checked without perturbing a run.
+/// digest is unchanged. A single-domain federation still reports
+/// [`crate::FederationStats`] without perturbing a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FederationConfig {
     /// Number of federated domains. `0` or `1` disables federation effects
-    /// (`0` skips even the single-domain bookkeeping).
+    /// (`0` also skips the federation stats).
     pub domains: usize,
     /// Interval between gossip rounds: each round, every domain publishes
     /// a fresh summary of its ledger.
@@ -58,7 +57,48 @@ impl FederationConfig {
     pub fn is_partitioned(&self) -> bool {
         self.domains > 1
     }
+
+    /// Checks that a run under this configuration can make progress.
+    ///
+    /// # Errors
+    ///
+    /// [`FederationConfigError::ZeroGossipInterval`] for a partitioned
+    /// federation whose gossip rounds would all fire at one instant.
+    pub fn validate(&self) -> Result<(), FederationConfigError> {
+        if self.is_partitioned() && self.gossip_interval == SimDuration::ZERO {
+            return Err(FederationConfigError::ZeroGossipInterval {
+                domains: self.domains,
+            });
+        }
+        Ok(())
+    }
 }
+
+/// Why a [`FederationConfig`] cannot run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FederationConfigError {
+    /// A partitioned federation with a zero gossip interval: every round
+    /// would reschedule the next at the same instant, so virtual time
+    /// would never advance.
+    ZeroGossipInterval {
+        /// The configured domain count.
+        domains: usize,
+    },
+}
+
+impl std::fmt::Display for FederationConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FederationConfigError::ZeroGossipInterval { domains } => write!(
+                f,
+                "invalid federation config: gossip_interval is zero with {domains} domains \
+                 (gossip would never let virtual time advance)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FederationConfigError {}
 
 impl Default for FederationConfig {
     fn default() -> Self {
@@ -138,5 +178,30 @@ mod tests {
         let four = FederationConfig::sharded(4, SimDuration::from_millis(200));
         assert!(four.is_partitioned());
         assert_eq!(four.staleness, SimDuration::from_millis(200));
+    }
+
+    #[test]
+    fn zero_gossip_interval_is_rejected_only_when_partitioned() {
+        let zero = |domains| FederationConfig {
+            domains,
+            gossip_interval: SimDuration::ZERO,
+            staleness: SimDuration::ZERO,
+        };
+        assert_eq!(
+            zero(4).validate(),
+            Err(FederationConfigError::ZeroGossipInterval { domains: 4 })
+        );
+        // No gossip is ever scheduled at K <= 1.
+        assert_eq!(zero(1).validate(), Ok(()));
+        assert_eq!(zero(0).validate(), Ok(()));
+        assert_eq!(
+            FederationConfig::sharded(16, SimDuration::ZERO).validate(),
+            Ok(())
+        );
+        assert!(zero(4)
+            .validate()
+            .unwrap_err()
+            .to_string()
+            .contains("gossip_interval"));
     }
 }

@@ -67,7 +67,7 @@ impl<'a> SimCtx<'a> {
     /// multiset (e.g. [`Worker::promote`]). Adding or removing probes must
     /// go through the ledger-aware wrappers ([`SimCtx::enqueue_front`],
     /// [`SimCtx::remove_probe_by_id`], [`SimCtx::steal_probes_if`]) or the
-    /// incremental CRV monitor desyncs.
+    /// CRV ledger desyncs.
     pub fn worker_mut(&mut self, id: WorkerId) -> &mut Worker {
         &mut self.state.workers[id.index()]
     }

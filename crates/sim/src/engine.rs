@@ -44,12 +44,12 @@ pub struct SimState {
     /// byte-identical to a build without the fault layer.
     pub(crate) fault_rng: StdRng,
     pub(crate) touched: Vec<WorkerId>,
+    /// The CRV ledger, partitioned into the federation's domains (one
+    /// domain when federation is off).
     crv_ledger: CrvLedger,
     /// Federated domain state (`None` unless
-    /// [`crate::config::FederationConfig::is_active`]). The global
-    /// `crv_ledger` above stays authoritative; the per-domain ledgers in
-    /// here are an additive partition of it, maintained by the same
-    /// wrappers.
+    /// [`crate::config::FederationConfig::is_active`]): the partition,
+    /// installed gossip summaries and federation stats.
     federation: Option<Box<FederationState>>,
     /// The placement domain of the event currently being handled (the
     /// job's home domain, or the domain of the worker an event fired on).
@@ -86,7 +86,7 @@ impl SimState {
         id
     }
 
-    /// The incrementally maintained CRV demand/supply ledger.
+    /// The CRV demand/supply ledger.
     pub fn crv_ledger(&self) -> &CrvLedger {
         &self.crv_ledger
     }
@@ -99,42 +99,6 @@ impl SimState {
     /// Mutable federation state (engine and sampling-ladder stats).
     pub(crate) fn federation_mut(&mut self) -> Option<&mut FederationState> {
         self.federation.as_deref_mut()
-    }
-
-    /// Mirrors a probe-enqueued ledger update into the owning domain's
-    /// ledger. No-op when federation is off.
-    fn domain_probe_enqueued(&mut self, worker: WorkerId, probe: &Probe) {
-        if let Some(fed) = self.federation.as_deref_mut() {
-            let d = fed.domain_of_worker(worker.index());
-            let set = &self.jobs[probe.job.0 as usize].effective_constraints;
-            fed.ledger_mut(d)
-                .probe_enqueued(probe.id, probe.job, set, &self.feasibility);
-        }
-    }
-
-    /// Mirrors a probe-removed ledger update into the owning domain's
-    /// ledger. No-op when federation is off.
-    fn domain_probe_removed(&mut self, worker: WorkerId, probe: ProbeId) {
-        if let Some(fed) = self.federation.as_deref_mut() {
-            let d = fed.domain_of_worker(worker.index());
-            fed.ledger_mut(d).probe_removed(probe, &self.feasibility);
-        }
-    }
-
-    /// Mirrors an idle→busy transition into the owning domain's ledger.
-    fn domain_worker_busy(&mut self, worker: WorkerId) {
-        if let Some(fed) = self.federation.as_deref_mut() {
-            let d = fed.domain_of_worker(worker.index());
-            fed.ledger_mut(d).worker_busy(worker.index());
-        }
-    }
-
-    /// Mirrors a busy→idle transition into the owning domain's ledger.
-    fn domain_worker_idle(&mut self, worker: WorkerId) {
-        if let Some(fed) = self.federation.as_deref_mut() {
-            let d = fed.domain_of_worker(worker.index());
-            fed.ledger_mut(d).worker_idle(worker.index());
-        }
     }
 
     /// The trace dispatcher (read side: `enabled()` checks).
@@ -163,14 +127,13 @@ impl SimState {
     ///
     /// All probe movement between queues must go through these
     /// `SimState`/[`SimCtx`] wrappers rather than [`Worker::enqueue`] /
-    /// [`Worker::remove_probe`] directly, or the incremental monitor
+    /// [`Worker::remove_probe`] directly, or the CRV ledger
     /// desyncs (and its debug oracle panics). Pure reordering
     /// ([`Worker::promote`]) needs no wrapper.
     pub fn enqueue_probe(&mut self, worker: WorkerId, probe: Probe) {
         let set = &self.jobs[probe.job.0 as usize].effective_constraints;
         self.crv_ledger
-            .probe_enqueued(probe.id, probe.job, set, &self.feasibility);
-        self.domain_probe_enqueued(worker, &probe);
+            .probe_enqueued(worker.index(), probe.id, probe.job, set, &self.feasibility);
         self.workers[worker.index()].enqueue(probe);
     }
 
@@ -179,8 +142,7 @@ impl SimState {
     pub fn enqueue_probe_front(&mut self, worker: WorkerId, probe: Probe) {
         let set = &self.jobs[probe.job.0 as usize].effective_constraints;
         self.crv_ledger
-            .probe_enqueued(probe.id, probe.job, set, &self.feasibility);
-        self.domain_probe_enqueued(worker, &probe);
+            .probe_enqueued(worker.index(), probe.id, probe.job, set, &self.feasibility);
         self.workers[worker.index()].enqueue_front(probe);
     }
 
@@ -188,8 +150,7 @@ impl SimState {
     /// keeping the CRV ledger in sync.
     pub fn remove_probe_at(&mut self, worker: WorkerId, index: usize) -> Probe {
         let probe = self.workers[worker.index()].remove_probe(index);
-        self.crv_ledger.probe_removed(probe.id, &self.feasibility);
-        self.domain_probe_removed(worker, probe.id);
+        self.crv_ledger.probe_removed(worker.index(), probe.id);
         probe
     }
 
@@ -202,13 +163,7 @@ impl SimState {
     ) -> Vec<Probe> {
         let stolen = self.workers[worker.index()].steal_if(predicate);
         for probe in &stolen {
-            self.crv_ledger.probe_removed(probe.id, &self.feasibility);
-        }
-        if self.federation.is_some() {
-            for probe in &stolen {
-                let id = probe.id;
-                self.domain_probe_removed(worker, id);
-            }
+            self.crv_ledger.probe_removed(worker.index(), probe.id);
         }
         stolen
     }
@@ -221,7 +176,6 @@ impl SimState {
         w.start_task(task, now);
         if was_idle {
             self.crv_ledger.worker_busy(worker.index());
-            self.domain_worker_busy(worker);
         }
     }
 
@@ -232,7 +186,6 @@ impl SimState {
         let task = w.finish_task(seq);
         if w.is_idle() {
             self.crv_ledger.worker_idle(worker.index());
-            self.domain_worker_idle(worker);
         }
         task
     }
@@ -253,7 +206,6 @@ impl SimState {
         w.set_alive(false);
         // Supply removal: dead counts as busy; idempotent if it already was.
         self.crv_ledger.worker_busy(worker.index());
-        self.domain_worker_busy(worker);
         // Open a downtime interval for capacity accounting; closed by
         // recovery (or against the final makespan).
         self.crash_started[worker.index()] = Some(now.as_micros());
@@ -269,41 +221,8 @@ impl SimState {
         debug_assert!(w.is_idle() && w.queue_len() == 0, "crash did not drain");
         w.set_alive(true);
         self.crv_ledger.worker_idle(worker.index());
-        self.domain_worker_idle(worker);
         if let Some(start) = self.crash_started[worker.index()].take() {
             self.downtime_log.push((start, self.now.as_micros()));
-        }
-    }
-
-    /// Rebuilds the CRV ledger from scratch out of the current queues and
-    /// slots. For tests and harnesses that mutate workers directly.
-    pub fn rebuild_crv_ledger(&mut self) {
-        let mut ledger = CrvLedger::new(self.workers.len());
-        for (i, w) in self.workers.iter().enumerate() {
-            if !w.is_idle() || !w.is_alive() {
-                ledger.worker_busy(i);
-            }
-        }
-        for w in &self.workers {
-            for p in w.queue() {
-                let set = &self.jobs[p.job.0 as usize].effective_constraints;
-                ledger.probe_enqueued(p.id, p.job, set, &self.feasibility);
-            }
-        }
-        self.crv_ledger = ledger;
-        if let Some(fed) = self.federation.as_deref_mut() {
-            fed.reset_ledgers();
-            for (i, w) in self.workers.iter().enumerate() {
-                let d = fed.domain_of_worker(i);
-                if !w.is_idle() || !w.is_alive() {
-                    fed.ledger_mut(d).worker_busy(i);
-                }
-                for p in w.queue() {
-                    let set = &self.jobs[p.job.0 as usize].effective_constraints;
-                    fed.ledger_mut(d)
-                        .probe_enqueued(p.id, p.job, set, &self.feasibility);
-                }
-            }
         }
     }
 }
@@ -340,7 +259,9 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if the cluster is empty.
+    /// Panics if the cluster is empty, or with the
+    /// [`crate::FederationConfigError`] message if the federation config
+    /// fails [`crate::FederationConfig::validate`].
     pub fn new(
         config: SimConfig,
         feasibility: FeasibilityIndex,
@@ -348,6 +269,9 @@ impl Simulation {
         scheduler: Box<dyn Scheduler>,
         seed: u64,
     ) -> Self {
+        if let Err(e) = config.federation.validate() {
+            panic!("{e}");
+        }
         assert!(!feasibility.is_empty(), "cluster must have workers");
         let n_workers = feasibility.len();
         let slots = config.slots_per_worker.max(1);
@@ -393,7 +317,7 @@ impl Simulation {
                 rng: StdRng::seed_from_u64(seed),
                 fault_rng,
                 touched: Vec::new(),
-                crv_ledger: CrvLedger::new(n_workers),
+                crv_ledger: CrvLedger::new(n_workers, federation.domains),
                 federation: federation
                     .is_active()
                     .then(|| Box::new(FederationState::new(federation, n_workers))),
@@ -593,22 +517,10 @@ impl Simulation {
                 // Chain the next round first (gated on outstanding work,
                 // like the crash chain, so the event loop terminates).
                 self.schedule_next_gossip();
-                // Partition oracle: the domain ledgers must tile the global
-                // one — any drift means a wrapper bypassed the mirrors.
-                #[cfg(debug_assertions)]
-                {
-                    let global = self.state.crv_ledger().queued_probes();
-                    if let Some(fed) = self.state.federation() {
-                        let sum: usize = (0..fed.domains())
-                            .map(|d| fed.ledger(d).queued_probes())
-                            .sum();
-                        debug_assert_eq!(sum, global, "domain ledgers desynced from global");
-                    }
-                }
                 let now = self.state.now;
                 let mut deliver_after = None;
-                if let Some(fed) = self.state.federation_mut() {
-                    if fed.publish(now) {
+                if let Some(fed) = self.state.federation.as_deref_mut() {
+                    if fed.publish(now, &self.state.crv_ledger) {
                         deliver_after = Some(fed.config().staleness);
                     }
                 }

@@ -1,21 +1,20 @@
 //! Federated domain sharding and eventually-consistent CRV gossip.
 //!
 //! With [`crate::config::FederationConfig::domains`] = K > 1 the cluster is
-//! split into K contiguous worker ranges ("domains"). Each domain owns a
-//! range-restricted [`CrvLedger`] that the engine's probe/slot wrappers
-//! keep exact alongside the cluster-wide ledger (the global ledger stays
-//! authoritative for the invariant auditor and the debug oracle; domain
-//! ledgers are an additive partition of it).
+//! split into K contiguous worker ranges ("domains"). The engine's single
+//! [`CrvLedger`] keeps each domain's demand side apart and computes a
+//! domain's idle supply over its own word range, so a domain's figures are
+//! a disjoint slice of the one ledger rather than a mirrored copy of it.
 //!
 //! Domains learn about each other only through **gossip**: every
 //! [`crate::config::FederationConfig::gossip_interval`] the engine
-//! publishes one compact [`DomainSummary`] per domain (per-kind CRV
-//! demand/supply plus queue-pressure aggregates, O(kinds) each) and
-//! installs the batch after
+//! publishes one compact [`DomainSummary`] per domain
+//! ([`CrvLedger::summary`]: per-kind CRV demand/supply plus queue-pressure
+//! aggregates) and installs the batch after
 //! [`crate::config::FederationConfig::staleness`]. Cross-domain placement
-//! reads only these stale summaries — never a remote ledger — so a crashed
-//! worker's supply leaves its home ledger immediately but leaves remote
-//! views only at the next delivered gossip round. That lag is the
+//! reads only these stale summaries — never a remote domain's live slice —
+//! so a crashed worker's supply leaves the ledger immediately but leaves
+//! remote views only at the next delivered gossip round. That lag is the
 //! eventual-consistency cost the federated benchmark ladder measures.
 //!
 //! Gossip is deterministic: no randomness is drawn, event times derive
@@ -66,16 +65,66 @@ pub struct FederationStats {
     pub cluster_fallbacks: u64,
 }
 
+/// K near-equal contiguous worker ranges tiling a cluster: the first
+/// `workers % K` domains get one extra worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DomainPartition {
+    workers: usize,
+    domains: usize,
+}
+
+impl DomainPartition {
+    /// Splits `workers` into `domains` ranges (`0` counts as one).
+    pub fn new(workers: usize, domains: usize) -> Self {
+        DomainPartition {
+            workers,
+            domains: domains.max(1),
+        }
+    }
+
+    /// Number of domains.
+    pub fn domains(&self) -> usize {
+        self.domains
+    }
+
+    /// Number of workers in the cluster.
+    pub fn workers(&self) -> usize {
+        self.workers
+    }
+
+    /// The contiguous worker range `(base, len)` of domain `d`.
+    pub fn range(&self, d: usize) -> (usize, usize) {
+        let (quot, rem) = (self.workers / self.domains, self.workers % self.domains);
+        (d * quot + d.min(rem), quot + usize::from(d < rem))
+    }
+
+    /// The domain owning `worker`.
+    pub fn domain_of_worker(&self, worker: usize) -> usize {
+        debug_assert!(worker < self.workers);
+        let k = self.domains;
+        if k == 1 {
+            return 0;
+        }
+        // The first `rem` domains are one wider.
+        let (quot, rem) = (self.workers / k, self.workers % k);
+        let wide = rem * (quot + 1);
+        if worker < wide {
+            worker / (quot + 1)
+        } else {
+            match (worker - wide).checked_div(quot) {
+                Some(narrow) => rem + narrow,
+                None => k - 1,
+            }
+        }
+    }
+}
+
 /// Mutable federation state owned by the engine (one per simulation when
 /// [`FederationConfig::is_active`]).
 #[derive(Debug)]
 pub struct FederationState {
     config: FederationConfig,
-    workers: usize,
-    /// `ranges[d] = (base, len)` of domain `d`'s contiguous worker slice.
-    ranges: Vec<(usize, usize)>,
-    /// Per-domain range-restricted ledgers, kept exact by the engine.
-    ledgers: Vec<CrvLedger>,
+    partition: DomainPartition,
     /// Latest *installed* summary per domain (what remote placement sees).
     visible: Vec<DomainSummary>,
     /// Published-but-undelivered summary batches, FIFO (every batch waits
@@ -89,26 +138,12 @@ impl FederationState {
     /// Shards `workers` into `config.domains` near-equal contiguous
     /// ranges (the first `workers % K` domains get one extra worker).
     pub fn new(config: FederationConfig, workers: usize) -> Self {
-        let k = config.domains.max(1);
-        let mut ranges = Vec::with_capacity(k);
-        let mut base = 0;
-        for d in 0..k {
-            let len = workers / k + usize::from(d < workers % k);
-            ranges.push((base, len));
-            base += len;
-        }
-        debug_assert_eq!(base, workers, "domain ranges must tile the cluster");
-        let ledgers = ranges
-            .iter()
-            .map(|&(base, len)| CrvLedger::with_range(base, len))
-            .collect();
+        let partition = DomainPartition::new(workers, config.domains);
         FederationState {
             config,
-            workers,
-            visible: vec![DomainSummary::default(); k],
+            partition,
+            visible: vec![DomainSummary::default(); partition.domains()],
             inflight: VecDeque::new(),
-            ranges,
-            ledgers,
             stats: FederationStats::default(),
         }
     }
@@ -120,62 +155,23 @@ impl FederationState {
 
     /// Number of domains.
     pub fn domains(&self) -> usize {
-        self.ranges.len()
+        self.partition.domains()
     }
 
     /// The home domain of a job: a static `job_id mod K` assignment (the
     /// per-domain scheduler front-end the job arrived at).
     pub fn domain_of_job(&self, job_id: u32) -> usize {
-        job_id as usize % self.ranges.len()
+        job_id as usize % self.partition.domains()
     }
 
     /// The domain owning `worker`.
     pub fn domain_of_worker(&self, worker: usize) -> usize {
-        debug_assert!(worker < self.workers);
-        // Contiguous near-equal ranges: derive the domain arithmetically
-        // (the first `rem` domains are one wider).
-        let k = self.ranges.len();
-        let (quot, rem) = (self.workers / k, self.workers % k);
-        let wide = rem * (quot + 1);
-        let d = if worker < wide {
-            worker / (quot + 1)
-        } else {
-            match (worker - wide).checked_div(quot) {
-                Some(narrow) => rem + narrow,
-                None => k - 1,
-            }
-        };
-        debug_assert!({
-            let (base, len) = self.ranges[d];
-            (base..base + len).contains(&worker)
-        });
-        d
+        self.partition.domain_of_worker(worker)
     }
 
     /// The contiguous worker range `(base, len)` of domain `d`.
     pub fn range(&self, d: usize) -> (usize, usize) {
-        self.ranges[d]
-    }
-
-    /// The live ledger of domain `d` (its own domain reads this directly;
-    /// remote domains must go through [`FederationState::visible`]).
-    pub fn ledger(&self, d: usize) -> &CrvLedger {
-        &self.ledgers[d]
-    }
-
-    /// Mutable access for the engine's probe/slot wrappers.
-    pub(crate) fn ledger_mut(&mut self, d: usize) -> &mut CrvLedger {
-        &mut self.ledgers[d]
-    }
-
-    /// Re-creates every domain ledger fresh (all-idle, no demand) for the
-    /// engine's from-scratch rebuild path.
-    pub(crate) fn reset_ledgers(&mut self) {
-        self.ledgers = self
-            .ranges
-            .iter()
-            .map(|&(base, len)| CrvLedger::with_range(base, len))
-            .collect();
+        self.partition.range(d)
     }
 
     /// The latest installed (stale) summary of domain `d`.
@@ -183,22 +179,13 @@ impl FederationState {
         &self.visible[d]
     }
 
-    /// Snapshots every domain ledger into a summary batch and queues it
-    /// for delivery. Returns `true` when the batch must be delivered by a
-    /// later `GossipDeliver` event (nonzero staleness); with zero
-    /// staleness the batch is installed immediately.
-    pub(crate) fn publish(&mut self, now: SimTime) -> bool {
-        let batch: Vec<DomainSummary> = self
-            .ledgers
-            .iter()
-            .map(|ledger| DomainSummary {
-                published_at: now.as_micros(),
-                demand: std::array::from_fn(|k| ledger.demand(ConstraintKind::ALL[k])),
-                idle_supply: std::array::from_fn(|k| ledger.idle_supply(ConstraintKind::ALL[k])),
-                queued_probes: ledger.queued_probes(),
-                constrained_probes: ledger.constrained_probes(),
-                idle_workers: ledger.idle_workers(),
-            })
+    /// Snapshots every domain's slice of `ledger` into a summary batch and
+    /// queues it for delivery. Returns `true` when the batch must be
+    /// delivered by a later `GossipDeliver` event (nonzero staleness); with
+    /// zero staleness the batch is installed immediately.
+    pub(crate) fn publish(&mut self, now: SimTime, ledger: &CrvLedger) -> bool {
+        let batch: Vec<DomainSummary> = (0..self.domains())
+            .map(|d| ledger.summary(d, now))
             .collect();
         self.stats.gossip_rounds += 1;
         if self.config.staleness.as_micros() == 0 {
@@ -238,7 +225,7 @@ impl FederationState {
             if d == home {
                 continue;
             }
-            let (base, len) = self.ranges[d];
+            let (base, len) = self.partition.range(d);
             if len == 0 || feasibility.count_feasible_in_range(set, base, base + len) == 0 {
                 continue;
             }
@@ -323,7 +310,7 @@ mod tests {
     #[test]
     fn zero_staleness_installs_at_publish() {
         let mut fed = FederationState::new(cfg(2, 0), 8);
-        assert!(!fed.publish(SimTime(100)));
+        assert!(!fed.publish(SimTime(100), &CrvLedger::new(8, 2)));
         assert_eq!(fed.visible(0).published_at, 100);
         assert_eq!(fed.visible(0).idle_workers, 4);
         assert_eq!(fed.stats.gossip_rounds, 1);
@@ -333,7 +320,7 @@ mod tests {
     #[test]
     fn nonzero_staleness_waits_for_delivery() {
         let mut fed = FederationState::new(cfg(2, 500), 8);
-        assert!(fed.publish(SimTime(100)));
+        assert!(fed.publish(SimTime(100), &CrvLedger::new(8, 2)));
         // Still the default (empty) view until delivery.
         assert_eq!(fed.visible(1).published_at, 0);
         assert_eq!(fed.visible(1).idle_workers, 0);
@@ -346,7 +333,7 @@ mod tests {
     #[test]
     fn visible_aggregates_sum_over_domains() {
         let mut fed = FederationState::new(cfg(4, 0), 12);
-        fed.publish(SimTime(1));
+        fed.publish(SimTime(1), &CrvLedger::new(12, 4));
         assert_eq!(fed.visible_idle_workers(), 12);
         assert_eq!(fed.visible_queued_probes(), 0);
     }

@@ -79,7 +79,7 @@ pub mod worker;
 pub use audit::{
     first_trace_divergence, AuditConfig, AuditReport, InvariantAuditor, ReferenceExecutor,
 };
-pub use config::{FederationConfig, SimConfig};
+pub use config::{FederationConfig, FederationConfigError, SimConfig};
 pub use context::SimCtx;
 pub use crvledger::CrvLedger;
 pub use engine::{SimState, Simulation};

@@ -178,3 +178,39 @@ fn utilization_excludes_crash_downtime_under_heavy_faults() {
         assert!(fixed <= 1.0, "seed {seed}: utilization {fixed} above 1");
     }
 }
+
+/// Partitioned digests pinned from a run of the pre-refactor engine: the
+/// replay test above cannot notice every K > 1 digest moving together. The
+/// runs are audited, so every heartbeat also checks each domain's live
+/// summary against a per-worker rederivation.
+#[test]
+fn partitioned_digests_are_pinned() {
+    let pins = [
+        (4usize, FaultPlan::none(), 0x0490_1dd9_ed99_54a7u64),
+        (16, FaultPlan::none(), 0x2b2a_af4d_27a4_c2e3),
+        (16, FaultPlan::heavy(), 0x885c_8c61_3a1f_7df1),
+    ];
+    for (k, faults, digest) in pins {
+        let s = spec(SchedulerKind::Phoenix, 42)
+            .with_faults(faults)
+            .with_federation(FederationConfig::sharded(k, SimDuration::from_millis(200)))
+            .with_audit();
+        let r = run_spec(&s);
+        let tag = format!("K={k} crashes={}", faults.crashes_enabled());
+        assert_eq!(r.digest(), digest, "{tag}: digest moved");
+        let report = r.audit.expect("audited run");
+        assert!(report.is_clean(), "{tag}: {report}");
+        assert!(report.ledger_checks > 0, "{tag}: ledger never checked");
+    }
+}
+
+/// A zero gossip interval on a partitioned federation used to reschedule
+/// `GossipPublish` at the same instant forever; it is now rejected before
+/// the first event.
+#[test]
+#[should_panic(expected = "gossip_interval is zero with 4 domains")]
+fn zero_gossip_interval_fails_before_running() {
+    let mut federation = FederationConfig::sharded(4, SimDuration::ZERO);
+    federation.gossip_interval = SimDuration::ZERO;
+    run_spec(&spec(SchedulerKind::Phoenix, 42).with_federation(federation));
+}
